@@ -149,7 +149,7 @@ def test_x00_kernel_throughput():
             # Fresh rigs per mode: the engine's state write-back leaves
             # drive phases mid-cycle, which a later *constructor* on the
             # same rigs rejects; repeated runs on one engine are fine.
-            rigs = [handle.rig for handle in session._materialize()]
+            rigs = [handle.rig for handle in session._restore()]
             engine = BatchEngine(rigs, numerics=mode)
             best_s = float("inf")
             gc.disable()
@@ -206,7 +206,7 @@ def test_x00_observability_overhead():
         session.calibrate()
         rates = {}
         for label, profile_flag in (("disabled", None), ("enabled", True)):
-            rigs = [handle.rig for handle in session._materialize()]
+            rigs = [handle.rig for handle in session._restore()]
             engine = BatchEngine(rigs)
             best_s = float("inf")
             gc.disable()

@@ -46,7 +46,7 @@ def _client_rigs(seed):
 
 
 def test_x02_service_streaming_throughput():
-    """Raw engine vs streamed cohort at N=64; appends the service stage."""
+    """Raw engine vs streamed cohort at N=32; appends the service stage."""
     profile = hold(50.0, DURATION_S)
     seeds = [BASE_SEED + i for i in range(N_CLIENTS)]
 

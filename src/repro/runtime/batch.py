@@ -1430,7 +1430,7 @@ def run_batch(rigs, profile: Profile,
 
     The rigs are consumed (see the module docstring); build fresh rigs
     for repeat runs or use :class:`repro.runtime.Session`, which
-    re-materializes monitors from cached calibrations.
+    restores fresh rigs per run from the calibration it keeps.
 
     Raises
     ------

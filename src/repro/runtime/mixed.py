@@ -427,4 +427,4 @@ class MixedEngine:
             raise ConfigurationError(
                 "this MixedEngine was consumed by a workers run; build a "
                 "fresh one (or use repro.runtime.Session, which "
-                "re-materializes rigs per run)")
+                "restores fresh rigs per run)")

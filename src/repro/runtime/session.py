@@ -10,12 +10,15 @@ explicit::
         result = session.run(staircase([0, 50, 100], dwell_s=4.0))
     # leaving the block -> close()
 
-``run`` may be called any number of times: each call re-materializes
-the rigs from the per-monitor seeds (cheap after the first build thanks
-to the calibration cache in :mod:`repro.station.scenarios`), so every
-run starts from the same freshly-built state and a batch run is
-bit-identical to the scalar run with the same seeds.  Calling a stage
-out of order raises :class:`~repro.errors.SessionError`.
+``calibrate`` runs each monitor's §4 campaign once (or takes it from
+the calibration LRU or artifact store in :mod:`repro.station.scenarios`)
+and the session keeps every position's (calibration, sensor snapshot)
+pair.  ``run`` may be called any number of times: each call restores
+fresh rigs from those pairs — no LRU lookup and no campaign, whatever
+the fleet size — so every run starts from the same post-calibration
+state and a batch run is bit-identical to the scalar run with the same
+seeds.  Calling a stage out of order raises
+:class:`~repro.errors.SessionError`.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from repro.runtime.result import RunResult
 from repro.runtime.spec import FleetSpec, warn_once
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
-from repro.station.scenarios import build_calibrated_monitor, \
-    calibration_cache_stats
+from repro.station.scenarios import _build, calibration_cache_stats
 
 __all__ = ["Session", "MonitorHandle", "resolve_record_every_n"]
 
@@ -79,9 +81,10 @@ class MonitorHandle:
         Instance seed spawned from the session seed; determines die
         tolerances, calibration and every noise stream.
     monitor / rig / calibration:
-        The most recently materialized monitor, its rig, and the fitted
-        calibration.  Re-materialized (same seed, same values) on every
-        :meth:`Session.run`.
+        The most recently built monitor, its rig, and the fitted
+        calibration.  Each :meth:`Session.run` restores fresh ones
+        (same seed, same values) from the session's calibration, so
+        running these rigs elsewhere does not change a later run.
     """
 
     index: int
@@ -192,6 +195,7 @@ class Session:
         self._state = "new"
         self._seeds: list[int] = []
         self._handles: list[MonitorHandle] = []
+        self._pairs: list[tuple[FlowCalibration, dict]] = []
         self._dt = self._fleet.dt_s
         self._timings: dict[str, float] = {}
         self._runs = 0
@@ -234,14 +238,19 @@ class Session:
     def calibrate(self) -> list[MonitorHandle]:
         """Build and calibrate every monitor; returns the fleet handles.
 
-        The first calibration per seed runs the full §4 campaign; repeat
-        materializations hit the calibration cache.
+        Each position runs its §4 campaign here, unless the calibration
+        LRU or the artifact store already holds it.  The session keeps
+        every position's (calibration, sensor snapshot) pair, and
+        :meth:`run` restores from those without calibrating again.
         """
         self._expect("open")
         t0 = time.perf_counter()
         with get_tracer().span("session.calibrate",
                                n_monitors=self.n_monitors):
-            self._handles = self._materialize()
+            built = [_build(s, store=self._store, **entry.build_kwargs())
+                     for s, entry in zip(self._seeds, self._fleet.flat())]
+            self._pairs = [pair for _, pair in built]
+            self._handles = self._handles_for([setup for setup, _ in built])
             self._state = "calibrated"
         self._timings["calibrate_s"] = time.perf_counter() - t0
         get_event_log().emit("session.state", state="calibrated",
@@ -283,7 +292,7 @@ class Session:
             :class:`repro.runtime.mixed.MixedEngine` (bit-identical per
             rig to running its group alone); ``"scalar"`` runs each rig
             through the per-sample reference path and stacks the
-            records.  Both start from freshly materialized rigs, so
+            records.  Both start from freshly restored rigs, so
             with the same seeds the engines return bit-identical
             traces.
         workers:
@@ -376,7 +385,8 @@ class Session:
         with get_tracer().span("session.run", engine=engine,
                                numerics=mode,
                                n_monitors=self.n_monitors):
-            self._handles = self._materialize()
+            self._handles = self._restore()
+            restore_s = time.perf_counter() - t0
             rigs = [handle.rig for handle in self._handles]
             mixed = False
             if engine == "batch" and len(self._fleet.rigs) > 1:
@@ -412,11 +422,14 @@ class Session:
                 result = RunResult.from_records(
                     [rig.run(profile, record_every_n=every) for rig in rigs])
         elapsed = time.perf_counter() - t0
+        self._timings["restore_s"] = restore_s
         self._timings["run_s"] = elapsed
         self._runs += 1
         registry = get_registry()
         if registry.enabled:
             registry.counter("runtime.session.runs").inc()
+            registry.histogram("runtime.session.restore_s").observe(
+                restore_s)
             registry.histogram("runtime.session.run_s").observe(elapsed)
             for name, stats in result.summary().items():
                 registry.gauge(f"{name}.mean").set(stats["mean"])
@@ -430,7 +443,9 @@ class Session:
     def stats(self) -> dict:
         """Session-level observability snapshot (always available).
 
-        Returns lifecycle timings measured by the session itself, the
+        Returns lifecycle timings measured by the session itself
+        (``restore_s`` is the part of the last ``run_s`` spent restoring
+        the rigs from the session's calibration, before the engine), the
         calibration-LRU statistics, and — when observability is enabled
         — the process-wide metrics snapshot under ``"metrics"`` and the
         per-stage profiler report under ``"profile"`` (empty unless the
@@ -460,6 +475,7 @@ class Session:
         """
         self._state = "closed"
         self._handles = []
+        self._pairs = []
         if self._used_shm:
             from repro.runtime.shm import shutdown_pool
             shutdown_pool()
@@ -483,20 +499,19 @@ class Session:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def _materialize(self) -> list[MonitorHandle]:
-        """Build fresh handles from the per-position seeds and specs.
+    def _handles_for(self, setups: list) -> list[MonitorHandle]:
+        """Wrap one built setup per position into fleet handles."""
+        return [MonitorHandle(index=i, seed=s, monitor=setup.monitor,
+                              rig=setup.rig, calibration=setup.calibration)
+                for i, (s, setup) in enumerate(zip(self._seeds, setups))]
 
-        A checkpointed session passes its artifact store down, so the
-        first materialization in a fresh process restores persisted
-        calibrations instead of re-running campaigns.
+    def _restore(self) -> list[MonitorHandle]:
+        """Fresh handles rebuilt from the kept calibration pairs.
+
+        No LRU lookup and no campaign: each position's sensor is rebuilt
+        from its seed and put into its post-campaign snapshot.
         """
-        return [
-            MonitorHandle(index=i, seed=s,
-                          monitor=setup.monitor, rig=setup.rig,
-                          calibration=setup.calibration)
-            for i, (s, entry) in enumerate(zip(self._seeds,
-                                               self._fleet.flat()))
-            for setup in (build_calibrated_monitor(seed=s,
-                                                   store=self._store,
-                                                   **entry.build_kwargs()),)
-        ]
+        return self._handles_for([
+            _build(s, pair=pair, **entry.build_kwargs())[0]
+            for s, entry, pair in zip(self._seeds, self._fleet.flat(),
+                                      self._pairs)])

@@ -275,8 +275,12 @@ class FleetSpec:
     def materialize(self, seeds: list[int] | None = None) -> list:
         """Build the fleet's rigs (one calibrated rig per position).
 
-        ``seeds`` overrides the derived :meth:`monitor_seeds` (the
-        Session re-materialization path passes its own spawned list).
+        ``seeds`` overrides the derived :meth:`monitor_seeds` (callers
+        that already spawned the per-position list pass it here).
+        Every call builds each rig anew through
+        :func:`repro.station.scenarios.build_calibrated_monitor`, so
+        past the calibration LRU it re-runs the campaigns;
+        :class:`repro.runtime.Session` calibrates once and restores.
         Scenario tags are *not* consumed here — the rigs come back
         plain; event injection belongs to
         :func:`repro.station.run_campaign`.

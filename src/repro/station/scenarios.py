@@ -13,10 +13,13 @@ collide on) a raw integer seed.
 
 Repeat builds are cheap: the fitted calibration and the sensor's
 post-campaign state are memoized in a small LRU keyed by everything that
-determines them, so fleet-scale callers (``repro.runtime.Session``) pay
-for one campaign per distinct configuration.  Builds with a caller-owned
-``housing`` bypass the cache — the assembly carries mutable state the
-cache must not alias.
+determines them, so separate builds of one configuration (sessions,
+campaigns, service attaches) share one campaign.  A
+``repro.runtime.Session`` does not lean on the LRU between runs: it
+keeps each rig's (calibration, snapshot) pair from its own calibration
+and restores from that, whatever the fleet size.  Builds with a
+caller-owned ``housing`` bypass the cache — the assembly carries
+mutable state the cache must not alias.
 
 Underneath the LRU sits the optional disk-backed
 :class:`repro.store.ArtifactStore` (``store=`` argument, or the
@@ -221,6 +224,32 @@ def build_calibrated_monitor(
         misses consult it before recalibrating and publish the fitted
         artifact after a campaign.
     """
+    setup, _ = _build(
+        seed, loop_rate_hz=loop_rate_hz, overtemperature_k=overtemperature_k,
+        output_bandwidth_hz=output_bandwidth_hz,
+        use_pulsed_drive=use_pulsed_drive, bit_true_adc=bit_true_adc,
+        calibration_speeds_cmps=calibration_speeds_cmps, fast=fast,
+        sensor_config=sensor_config, housing=housing, use_cache=use_cache,
+        store=store)
+    return setup
+
+
+def _build(seed: int, *, loop_rate_hz: float = 1000.0,
+           overtemperature_k: float = 5.0,
+           output_bandwidth_hz: float = 0.1,
+           use_pulsed_drive: bool = True, bit_true_adc: bool = False,
+           calibration_speeds_cmps: list[float] | None = None,
+           fast: bool = False, sensor_config: MAFConfig | None = None,
+           housing: SensorHousing | None = None, use_cache: bool = True,
+           store=None, pair: tuple[FlowCalibration, dict] | None = None,
+           ) -> tuple[CalibratedSetup, tuple[FlowCalibration, dict]]:
+    """:func:`build_calibrated_monitor`, also returning its
+    ``(calibration, sensor snapshot)`` pair.
+
+    With ``pair`` given (the :class:`repro.runtime.Session` restore),
+    the LRU, the store and the campaign are all skipped: the fresh
+    sensor is put straight into the pair's post-campaign state.
+    """
     (die_ss, cal_platform_ss, cal_line_ss, cal_reference_ss,
      run_platform_ss, rig_line_ss, rig_reference_ss) = \
         np.random.SeedSequence(seed).spawn(7)
@@ -231,20 +260,21 @@ def build_calibrated_monitor(
     average_s = 0.2 if fast else 0.5
 
     sensor = MAFSensor(sensor_cfg, housing=housing)
-    cacheable = use_cache and housing is None
+    cacheable = use_cache and housing is None and pair is None
     cache_key = (repr(sensor_cfg), seed, loop_rate_hz, overtemperature_k,
                  output_bandwidth_hz, use_pulsed_drive, bit_true_adc,
                  tuple(speeds), fast)
     cached = _CALIBRATION_CACHE.get(cache_key) if cacheable else None
     global _CACHE_HITS, _CACHE_MISSES
     registry = get_registry()
-    if cached is not None:
+    if pair is not None:
+        calibration, snapshot = pair
+    elif cached is not None:
         _CACHE_HITS += 1
         if registry.enabled:
             registry.counter("station.calibration_cache.hits").inc()
         calibration, snapshot = cached
         _CALIBRATION_CACHE.move_to_end(cache_key)
-        _restore_sensor(sensor, snapshot)
     else:
         _CACHE_MISSES += 1
         if registry.enabled:
@@ -265,7 +295,6 @@ def build_calibrated_monitor(
         if artifact is not None:
             calibration = artifact["calibration"]
             snapshot = artifact["snapshot"]
-            _restore_sensor(sensor, snapshot)
         else:
             with get_tracer().span("scenarios.calibration_campaign",
                                    seed=seed):
@@ -287,6 +316,31 @@ def build_calibrated_monitor(
             while len(_CALIBRATION_CACHE) > _CALIBRATION_CACHE_MAX:
                 _CALIBRATION_CACHE.popitem(last=False)
 
+    setup = _assemble(sensor, calibration, snapshot,
+                      loop_rate_hz=loop_rate_hz, cta_cfg=cta_cfg,
+                      output_bandwidth_hz=output_bandwidth_hz,
+                      use_pulsed_drive=use_pulsed_drive,
+                      bit_true_adc=bit_true_adc,
+                      run_platform_ss=run_platform_ss,
+                      rig_line_ss=rig_line_ss,
+                      rig_reference_ss=rig_reference_ss)
+    return setup, (calibration, snapshot)
+
+
+def _assemble(sensor: MAFSensor, calibration: FlowCalibration,
+              snapshot: dict, *, loop_rate_hz: float,
+              cta_cfg: CTAConfig, output_bandwidth_hz: float,
+              use_pulsed_drive: bool, bit_true_adc: bool,
+              run_platform_ss: np.random.SeedSequence,
+              rig_line_ss: np.random.SeedSequence,
+              rig_reference_ss: np.random.SeedSequence) -> CalibratedSetup:
+    """Put ``sensor`` in its post-campaign state and wrap it into a rig.
+
+    Every build path ends here — an LRU hit, a store hit, a fresh
+    campaign (where the restore rewrites the state the campaign left)
+    and a Session restore — so they all hand back the same rig.
+    """
+    _restore_sensor(sensor, snapshot)
     monitor_cfg = MonitorConfig(
         loop_rate_hz=loop_rate_hz,
         cta=cta_cfg,

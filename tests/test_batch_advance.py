@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime import RunResult, Session
+from repro.runtime import FleetSpec, RunResult, Session
 from repro.runtime.batch import BatchEngine
 from repro.station.profiles import staircase
 
@@ -23,7 +23,8 @@ STEPS = int(round(PROFILE.duration_s / 1e-3))
 
 
 def fresh_rigs(seed=7, n=3):
-    with Session(n_monitors=n, seed=seed, fast_calibration=True) as s:
+    with Session(fleet=FleetSpec.homogeneous(
+            n, seed=seed, fast_calibration=True)) as s:
         s.calibrate()
         return [h.rig for h in s.monitors]
 

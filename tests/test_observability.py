@@ -317,12 +317,13 @@ def test_observed_context_restores_state(fresh):
 
 def test_instrumented_session_run_populates_metrics(fresh):
     registry, tracer, log = fresh
-    from repro.runtime import Session
+    from repro.runtime import FleetSpec, Session
     from repro.station.profiles import hold
     from repro.station.scenarios import clear_calibration_cache
 
     clear_calibration_cache()
-    with Session(n_monitors=2, seed=31, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            2, seed=31, fast_calibration=True)) as session:
         session.calibrate()
         session.run(hold(60.0, 1.0))
         stats = session.stats()
@@ -335,9 +336,11 @@ def test_instrumented_session_run_populates_metrics(fresh):
     assert snap["runtime.batch.samples_per_s"]["value"] > 0
     # scheduler bulk accounting rode along
     assert snap["isif.scheduler.bulk_ticks"]["value"] >= 2 * 1000
-    # calibration cache: 2 builds at calibrate, 2 re-materializations
+    # calibration cache: 2 builds at calibrate; the run restores from
+    # the session's own calibration and makes no LRU lookup
     assert snap["station.calibration_cache.misses"]["value"] == 2
-    assert snap["station.calibration_cache.hits"]["value"] == 2
+    assert "station.calibration_cache.hits" not in snap
+    assert snap["runtime.session.restore_s"]["count"] == 1
     # spans landed as histograms
     assert snap["span.session.calibrate.s"]["count"] == 1
     assert snap["span.session.run.s"]["count"] == 1
@@ -345,8 +348,9 @@ def test_instrumented_session_run_populates_metrics(fresh):
     # session accessor
     assert stats["state"] == "calibrated"
     assert stats["runs"] == 1
-    assert set(stats["timings_s"]) == {"open_s", "calibrate_s", "run_s"}
-    assert stats["calibration_cache"]["hits"] == 2
+    assert set(stats["timings_s"]) == {"open_s", "calibrate_s",
+                                       "restore_s", "run_s"}
+    assert stats["calibration_cache"]["hits"] == 0
     assert stats["metrics"]["runtime.batch.samples"]["value"] == 2000
     # lifecycle events
     states = [e.fields["state"] for e in log.events("session.state")]
@@ -356,10 +360,11 @@ def test_instrumented_session_run_populates_metrics(fresh):
 def test_observability_disabled_run_is_clean(fresh):
     registry, _, _ = fresh
     obs.disable()
-    from repro.runtime import Session
+    from repro.runtime import FleetSpec, Session
     from repro.station.profiles import hold
 
-    with Session(n_monitors=1, seed=32, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            1, seed=32, fast_calibration=True)) as session:
         session.calibrate()
         session.run(hold(60.0, 0.5))
         stats = session.stats()

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.observability import MetricsRegistry, get_registry, set_registry
-from repro.runtime import BatchEngine, RunResult, ShardedEngine
+from repro.runtime import BatchEngine, FleetSpec, RunResult, ShardedEngine
 from repro.runtime.parallel import FAULT_ENV
 from repro.station.fleet import MonitoredNetwork
 from repro.station.network import PipeNetwork
@@ -117,7 +117,8 @@ def test_knob_validation():
 
 def test_session_refuses_workers_on_scalar_engine():
     from repro.runtime import Session
-    with Session(n_monitors=1, seed=5, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            1, seed=5, fast_calibration=True)) as session:
         session.calibrate()
         with pytest.raises(ConfigurationError):
             session.run(PROFILE, engine="scalar", workers=2)

@@ -15,7 +15,7 @@ import pytest
 from repro import observability as obs
 from repro.errors import ConfigurationError
 from repro.observability import MetricsRegistry, Profiler
-from repro.runtime import BatchEngine, RunResult
+from repro.runtime import BatchEngine, FleetSpec, RunResult
 from repro.runtime.kernels import PROFILE_STAGES
 from repro.station.profiles import hold
 from repro.station.scenarios import build_calibrated_monitor
@@ -187,7 +187,8 @@ def test_session_stats_exposes_profile(fresh_profiler):
     from repro.station.scenarios import clear_calibration_cache
 
     clear_calibration_cache()
-    with Session(n_monitors=1, seed=33, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            1, seed=33, fast_calibration=True)) as session:
         session.calibrate()
         result = session.run(hold(60.0, 0.5))
         stats = session.stats()

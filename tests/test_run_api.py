@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime import RunResult, Session
+from repro.runtime import FleetSpec, RunResult, Session
 from repro.runtime.session import resolve_record_every_n
 from repro.station.demand import DiurnalDemand
 from repro.station.fleet import MonitoredNetwork
@@ -33,7 +33,8 @@ def test_resolve_record_every_n():
 
 @pytest.fixture(scope="module")
 def session():
-    with Session(n_monitors=1, seed=21, fast_calibration=True) as s:
+    with Session(fleet=FleetSpec.homogeneous(
+            1, seed=21, fast_calibration=True)) as s:
         s.calibrate()
         yield s
 
@@ -144,7 +145,8 @@ def test_every_deprecated_surface_warns_once_with_replacement():
     record_every_n, MonitoredNetwork.run positional snapshot_s and
     ``hours=``, and the bare SummaryDict key aliases.
     """
-    with Session(n_monitors=1, seed=24, fast_calibration=True) as s:
+    with Session(fleet=FleetSpec.homogeneous(
+            1, seed=24, fast_calibration=True)) as s:
         s.calibrate()
         with pytest.warns(FutureWarning) as rec:
             s.run(hold(60.0, 0.2), "scalar", 25)
@@ -173,7 +175,8 @@ def test_every_deprecated_surface_warns_once_with_replacement():
 
 
 def test_run_result_summary_metric_keys():
-    with Session(n_monitors=1, seed=23, fast_calibration=True) as s:
+    with Session(fleet=FleetSpec.homogeneous(
+            1, seed=23, fast_calibration=True)) as s:
         s.calibrate()
         result = s.run(hold(60.0, 0.5))
     summary = result.summary()

@@ -116,7 +116,8 @@ def test_shm_scheduler_accounting_matches_serial():
 
 def test_session_shm_backend_parity():
     profile = staircase([0.0, 80.0], dwell_s=1.0)
-    with Session(n_monitors=3, seed=SEED, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            3, seed=SEED, fast_calibration=True)) as session:
         session.calibrate()
         serial = session.run(profile)
         shm = session.run(profile, workers=3, backend="shm")
